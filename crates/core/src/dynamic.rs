@@ -33,18 +33,14 @@
 //! its flat batch stream — so verdicts *and witnesses* match the frozen
 //! [`crate::IndexedEngine`] answer for every thread count.
 
-use crate::connectivity::{
-    st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
-};
+use crate::connectivity::{ConnectivityMode, ConnectivityResult};
 use crate::cover::{
     emit_cluster_batches, BatchBuilder, ClusterScratch, ClusterView, CoverBatch, PassCounters,
 };
-use crate::index::{
-    admit_pattern, decide_in_batches, find_in_batches, FlatDecomposition, IndexParams,
-    IndexedBatch, PsiIndex, QueryError, CONNECTIVITY_CAP,
-};
+use crate::index::{FlatDecomposition, IndexParams, IndexedBatch, PsiIndex, QueryError};
 use crate::isomorphism::DpStrategy;
 use crate::pattern::Pattern;
+use crate::serve::{self, Instruments, ServeState};
 use crate::snapshot::{EpochManager, EpochState, PsiSnapshot, RoundMap};
 use psi_cluster::DynamicClustering;
 use psi_graph::{
@@ -54,7 +50,7 @@ use psi_planar::{
     check_planarity, face_vertex_graph, planar_embedding, Embedding, FaceVertexGraph,
     NonPlanarWitness,
 };
-use rayon::prelude::*;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -946,8 +942,10 @@ impl DynamicPsiIndex {
     /// flushing.
     ///
     /// Cost: one implicit [`DynamicPsiIndex::flush`] of the dirty backlog, then
-    /// `O(rounds)` `Arc` bumps — no graph or batch copies. Snapshots of an
-    /// unchanged engine share one cached publication (and one epoch number).
+    /// `O(rounds)` `Arc` bumps — no batch copies. The first snapshot after a
+    /// mutation also rebuilds the target CSR and compacts the facial walks,
+    /// `O(n + m)`. Snapshots of an unchanged engine share one cached
+    /// publication (and one epoch number).
     pub fn snapshot(&mut self) -> PsiSnapshot {
         let _span = psi_obs::span!("snapshot", epoch = self.epochs.epoch());
         crate::obs::metrics().snapshots_total.add(1);
@@ -969,15 +967,6 @@ impl DynamicPsiIndex {
             rounds: self.rounds.clone(),
         };
         PsiSnapshot::new(self.epochs.store(state))
-    }
-
-    /// `(hits, misses)` of the flush-side decomposition cache since thaw.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `decomp_cache_metrics` (hits, misses, evictions, len, cap)"
-    )]
-    pub fn decomp_cache_stats(&self) -> (u64, u64) {
-        (self.decomp_cache.hits, self.decomp_cache.misses)
     }
 
     /// Full counters of the flush-side decomposition cache since thaw.
@@ -1019,27 +1008,7 @@ impl DynamicPsiIndex {
     /// [`crate::IndexedEngine::decide`].
     pub fn decide(&mut self, pattern: &Pattern) -> Result<bool, QueryError> {
         self.flush();
-        self.decide_flushed(pattern)
-    }
-
-    fn decide_flushed(&self, pattern: &Pattern) -> Result<bool, QueryError> {
-        let _span = psi_obs::span!("query.decide", k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        if let Some(short) = admit_pattern(&self.params, self.graph.num_vertices(), pattern)? {
-            metrics.query_decide_ns.record_duration(start.elapsed());
-            return Ok(short.is_some());
-        }
-        let verdict = self.rounds.iter().any(|round| {
-            decide_in_batches(
-                self.strategy,
-                pattern,
-                round.values().flat_map(|batches| batches.iter()),
-            )
-        });
-        metrics.query_decide_ns.record_duration(start.elapsed());
-        Ok(verdict)
+        serve::decide(&*self, pattern)
     }
 
     /// Finds one occurrence (flushing dirty clusters first); the witness is the
@@ -1047,43 +1016,14 @@ impl DynamicPsiIndex {
     /// engine's stored-order witness.
     pub fn find_one(&mut self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
         self.flush();
-        self.find_one_flushed(pattern)
-    }
-
-    fn find_one_flushed(&self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
-        let _span = psi_obs::span!("query.find_one", k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        if let Some(short) = admit_pattern(&self.params, self.graph.num_vertices(), pattern)? {
-            metrics.query_find_one_ns.record_duration(start.elapsed());
-            return Ok(short);
-        }
-        let target = self.target_csr();
-        for round in &self.rounds {
-            if let Some(occ) = find_in_batches(
-                self.strategy,
-                pattern,
-                target,
-                round.values().flat_map(|batches| batches.iter()),
-            ) {
-                metrics.query_find_one_ns.record_duration(start.elapsed());
-                return Ok(Some(occ));
-            }
-        }
-        metrics.query_find_one_ns.record_duration(start.elapsed());
-        Ok(None)
+        serve::find_one(&*self, pattern)
     }
 
     /// [`DynamicPsiIndex::decide`] over many patterns on the work-stealing pool,
     /// answers in input order (one flush up front, then read-only scans).
     pub fn decide_batch(&mut self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
         self.flush();
-        let this = &*self;
-        patterns
-            .par_iter()
-            .map(|p| this.decide_flushed(p))
-            .collect()
+        serve::decide_batch(&*self, patterns)
     }
 
     /// [`DynamicPsiIndex::find_one`] over many patterns (input order,
@@ -1093,32 +1033,13 @@ impl DynamicPsiIndex {
         patterns: &[Pattern],
     ) -> Vec<Result<Option<Vec<Vertex>>, QueryError>> {
         self.flush();
-        let this = &*self;
-        patterns
-            .par_iter()
-            .map(|p| this.find_one_flushed(p))
-            .collect()
+        serve::find_one_batch(&*self, patterns)
     }
 
     /// Capped pairwise s–t vertex connectivity against the live target, in input
-    /// order (the planar cap of [`CONNECTIVITY_CAP`] applies).
+    /// order (the planar cap of [`crate::CONNECTIVITY_CAP`] applies).
     pub fn connectivity_batch(&self, pairs: &[(Vertex, Vertex)]) -> Vec<Result<usize, QueryError>> {
-        let target = self.target_csr();
-        let n = target.num_vertices();
-        pairs
-            .par_iter()
-            .map(|&(s, t)| {
-                for x in [s, t] {
-                    if x as usize >= n {
-                        return Err(QueryError::VertexOutOfRange { vertex: x, n });
-                    }
-                }
-                if s == t {
-                    return Err(QueryError::IdenticalEndpoints { vertex: s });
-                }
-                Ok(st_connectivity_capped(target, s, t, CONNECTIVITY_CAP))
-            })
-            .collect()
+        serve::connectivity_batch(self, pairs)
     }
 
     /// Global vertex connectivity from the maintained embedding's face–vertex
@@ -1126,14 +1047,45 @@ impl DynamicPsiIndex {
     /// cached until the next one. The connectivity *value* is embedding-
     /// independent, so it matches the frozen engine's answer.
     pub fn vertex_connectivity(&self, mode: ConnectivityMode, seed: u64) -> ConnectivityResult {
-        let target = self.target_csr();
-        let fv = self.fv.get_or_init(|| {
+        serve::vertex_connectivity(self, mode, seed)
+    }
+}
+
+/// The live engine as a read-path state. Batch scans see the stored rounds as
+/// they are, so callers flush first.
+impl ServeState for DynamicPsiIndex {
+    const INSTRUMENTS: Instruments = serve::QUERY;
+
+    fn params(&self) -> &IndexParams {
+        &self.params
+    }
+
+    fn strategy(&self) -> DpStrategy {
+        self.strategy
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    fn target(&self) -> &CsrGraph {
+        self.target_csr()
+    }
+
+    fn batches(&self) -> impl Iterator<Item = &IndexedBatch> {
+        self.rounds
+            .iter()
+            .flat_map(|round| round.values())
+            .flat_map(|batches| batches.iter())
+    }
+
+    fn face_vertex_graph(&self) -> Cow<'_, FaceVertexGraph> {
+        Cow::Borrowed(self.fv.get_or_init(|| {
             Arc::new(face_vertex_graph(&Embedding::new(
-                target.clone(),
+                self.target_csr().clone(),
                 self.faces.compact(),
             )))
-        });
-        vertex_connectivity_with_fv(target, fv, mode, seed)
+        }))
     }
 }
 

@@ -52,12 +52,11 @@
 //! validation + wrapping, not re-derivation). Malformed files fail with
 //! section-labelled [`IndexLoadError`]s, never panics.
 
-use crate::connectivity::{
-    st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
-};
+use crate::connectivity::{ConnectivityMode, ConnectivityResult};
 use crate::cover::{map_cover_batches, CoverBatch, CoverStats, DEFAULT_BATCH_BUDGET};
-use crate::isomorphism::{decide_decomposed, search_decomposed_with, DpStrategy};
-use crate::pattern::{verify_occurrence, Pattern};
+use crate::isomorphism::DpStrategy;
+use crate::pattern::Pattern;
+use crate::serve::{self, Instruments, ServeState};
 use psi_graph::io::{
     decode_csr, encode_csr, push_u32, push_u32_slice, push_u64, SectionReadError, SectionedFile,
     SliceReader,
@@ -65,7 +64,7 @@ use psi_graph::io::{
 use psi_graph::{CsrGraph, Vertex};
 use psi_planar::{Embedding, FaceVertexGraph};
 use psi_treedecomp::BinaryTreeDecomposition;
-use rayon::prelude::*;
+use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -1038,41 +1037,6 @@ pub(crate) fn backtrack_step(
     Ok(false)
 }
 
-/// Checks that an index built with `params` over an `n`-vertex target can serve
-/// `pattern`; `Ok(Some(answer))` short-circuits trivial cases (empty pattern,
-/// pattern larger than the target). Shared between [`IndexedEngine`] and the
-/// dynamic index in [`crate::dynamic`].
-pub(crate) fn admit_pattern(
-    params: &IndexParams,
-    target_n: usize,
-    pattern: &Pattern,
-) -> Result<Option<Option<Vec<Vertex>>>, QueryError> {
-    let k = pattern.k();
-    if k == 0 {
-        return Ok(Some(Some(Vec::new())));
-    }
-    if k > target_n {
-        return Ok(Some(None));
-    }
-    if !pattern.is_connected() {
-        return Err(QueryError::DisconnectedPattern);
-    }
-    if k > params.k as usize {
-        return Err(QueryError::PatternTooLarge {
-            k,
-            max_k: params.k as usize,
-        });
-    }
-    let diameter = pattern.diameter();
-    if diameter > params.d as usize {
-        return Err(QueryError::DiameterTooLarge {
-            diameter,
-            max_d: params.d as usize,
-        });
-    }
-    Ok(None)
-}
-
 /// Whether any stored window of `ib` is large enough to host `k` vertices.
 pub(crate) fn batch_can_host(ib: &IndexedBatch, k: usize) -> bool {
     let n = ib.batch.local_to_global.len();
@@ -1085,82 +1049,6 @@ pub(crate) fn batch_can_host(ib: &IndexedBatch, k: usize) -> bool {
         let end = ws.get(w + 1).map(|&(_, _, o)| o as usize).unwrap_or(n);
         end - start >= k
     })
-}
-
-/// The per-batch decision scan shared by every engine front end: the exhaustive
-/// backtracking fast path first, the decomposition DP as the polynomial fallback.
-/// Scans `batches` in iteration order; short-circuits on the first hit.
-pub(crate) fn decide_in_batches<'b>(
-    strategy: DpStrategy,
-    pattern: &Pattern,
-    batches: impl Iterator<Item = &'b IndexedBatch>,
-) -> bool {
-    let k = pattern.k();
-    let plan = MatchPlan::new(pattern);
-    let mut assigned = Vec::with_capacity(k);
-    for ib in batches {
-        if !batch_can_host(ib, k) {
-            continue;
-        }
-        assigned.clear();
-        let mut budget = FAST_PATH_NODE_BUDGET;
-        match backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget) {
-            Ok(true) => return true,
-            Ok(false) => continue,
-            Err(()) => {}
-        }
-        let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
-        if decide_decomposed(strategy, pattern, &ib.batch.graph, &btd) {
-            return true;
-        }
-    }
-    false
-}
-
-/// The per-batch search scan shared by every engine front end. The witness is the
-/// first occurrence in `batches` iteration order, so callers that iterate stored
-/// order get thread-count-independent witnesses. `target` is only used to
-/// cross-check the remapped occurrence in debug builds.
-pub(crate) fn find_in_batches<'b>(
-    strategy: DpStrategy,
-    pattern: &Pattern,
-    target: &CsrGraph,
-    batches: impl Iterator<Item = &'b IndexedBatch>,
-) -> Option<Vec<Vertex>> {
-    let k = pattern.k();
-    let plan = MatchPlan::new(pattern);
-    let mut assigned = Vec::with_capacity(k);
-    for ib in batches {
-        if !batch_can_host(ib, k) {
-            continue;
-        }
-        assigned.clear();
-        let mut budget = FAST_PATH_NODE_BUDGET;
-        match backtrack_step(&plan, &ib.batch.graph, 0, &mut assigned, &mut budget) {
-            Ok(true) => {
-                let mut occ = plan.to_occurrence(&assigned);
-                for v in &mut occ {
-                    *v = ib.batch.local_to_global[*v as usize];
-                }
-                debug_assert!(verify_occurrence(pattern, target, &occ));
-                return Some(occ);
-            }
-            Ok(false) => continue,
-            Err(()) => {}
-        }
-        let btd = ib.decomp.to_binary(ib.batch.graph.num_vertices());
-        if let Some(occ) = search_decomposed_with(
-            strategy,
-            pattern,
-            &ib.batch.graph,
-            &btd,
-            Some(&ib.batch.local_to_global),
-        ) {
-            debug_assert!(verify_occurrence(pattern, target, &occ));
-            return Some(occ);
-        }
-    }
-    None
 }
 
 /// The serve-many query front end over a shared [`PsiIndex`].
@@ -1204,51 +1092,20 @@ impl<'a> IndexedEngine<'a> {
     /// certain; a "no" is wrong with probability at most `2^−rounds` per fixed
     /// occurrence (see the module docs on frozen randomness).
     pub fn decide(&self, pattern: &Pattern) -> Result<bool, QueryError> {
-        let _span = psi_obs::span!("query.decide", k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        let params = self.index.params;
-        if let Some(short) = admit_pattern(&params, self.index.target.num_vertices(), pattern)? {
-            metrics.query_decide_ns.record_duration(start.elapsed());
-            return Ok(short.is_some());
-        }
-        let verdict = decide_in_batches(
-            self.strategy,
-            pattern,
-            self.index.rounds.iter().flat_map(|r| r.iter()),
-        );
-        metrics.query_decide_ns.record_duration(start.elapsed());
-        Ok(verdict)
+        serve::decide(self, pattern)
     }
 
     /// Finds one occurrence (pattern vertex `i` ↦ `mapping[i]`), scanning stored
     /// rounds and batches in order — the witness is the first hit in that order,
     /// independent of thread count.
     pub fn find_one(&self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
-        let _span = psi_obs::span!("query.find_one", k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        let params = self.index.params;
-        if let Some(short) = admit_pattern(&params, self.index.target.num_vertices(), pattern)? {
-            metrics.query_find_one_ns.record_duration(start.elapsed());
-            return Ok(short);
-        }
-        let witness = find_in_batches(
-            self.strategy,
-            pattern,
-            &self.index.target,
-            self.index.rounds.iter().flat_map(|r| r.iter()),
-        );
-        metrics.query_find_one_ns.record_duration(start.elapsed());
-        Ok(witness)
+        serve::find_one(self, pattern)
     }
 
     /// [`IndexedEngine::decide`] over many patterns: queries fan out on the
     /// work-stealing pool, answers stream back in input order.
     pub fn decide_batch(&self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
-        patterns.par_iter().map(|p| self.decide(p)).collect()
+        serve::decide_batch(self, patterns)
     }
 
     /// [`IndexedEngine::find_one`] over many patterns (input order, deterministic
@@ -1257,57 +1114,56 @@ impl<'a> IndexedEngine<'a> {
         &self,
         patterns: &[Pattern],
     ) -> Vec<Result<Option<Vec<Vertex>>, QueryError>> {
-        patterns.par_iter().map(|p| self.find_one(p)).collect()
+        serve::find_one_batch(self, patterns)
     }
 
     /// Capped pairwise s–t vertex connectivity
     /// ([`crate::connectivity::st_connectivity_capped`] with the planar cap of 5)
     /// for many pairs against the shared target, in input order.
     pub fn connectivity_batch(&self, pairs: &[(Vertex, Vertex)]) -> Vec<Result<usize, QueryError>> {
-        let n = self.index.target.num_vertices();
-        pairs
-            .par_iter()
-            .map(|&(s, t)| {
-                for v in [s, t] {
-                    if v as usize >= n {
-                        return Err(QueryError::VertexOutOfRange { vertex: v, n });
-                    }
-                }
-                if s == t {
-                    return Err(QueryError::IdenticalEndpoints { vertex: s });
-                }
-                Ok(st_connectivity_capped(
-                    &self.index.target,
-                    s,
-                    t,
-                    CONNECTIVITY_CAP,
-                ))
-            })
-            .collect()
+        serve::connectivity_batch(self, pairs)
     }
 
     /// Global vertex connectivity served from the stored face–vertex graph
     /// (Lemma 5.1); no embedding or face–vertex re-derivation at query time.
     pub fn vertex_connectivity(&self, mode: ConnectivityMode, seed: u64) -> ConnectivityResult {
-        let _span = psi_obs::span!(
-            "query.vertex_connectivity",
-            n = self.index.target.num_vertices(),
-        );
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        let fv = self.index.face_vertex_graph();
-        let result = vertex_connectivity_with_fv(&self.index.target, &fv, mode, seed);
-        metrics
-            .query_connectivity_ns
-            .record_duration(start.elapsed());
-        result
+        serve::vertex_connectivity(self, mode, seed)
+    }
+}
+
+impl ServeState for IndexedEngine<'_> {
+    const INSTRUMENTS: Instruments = serve::QUERY;
+
+    fn params(&self) -> &IndexParams {
+        &self.index.params
+    }
+
+    fn strategy(&self) -> DpStrategy {
+        self.strategy
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.index.target.num_vertices()
+    }
+
+    fn target(&self) -> &CsrGraph {
+        &self.index.target
+    }
+
+    fn batches(&self) -> impl Iterator<Item = &IndexedBatch> {
+        self.index.rounds.iter().flat_map(|r| r.iter())
+    }
+
+    fn face_vertex_graph(&self) -> Cow<'_, FaceVertexGraph> {
+        Cow::Owned(self.index.face_vertex_graph())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isomorphism::decide_decomposed;
+    use crate::pattern::verify_occurrence;
     use psi_planar::generators as pg;
 
     fn small_index() -> PsiIndex {

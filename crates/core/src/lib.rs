@@ -8,10 +8,6 @@
 //!
 //! ## Pipeline
 //!
-//! 0. [`auto`] — the historical arbitrary-graph entry points (now deprecated shims
-//!    over [`psi`]): the LR planarity engine ([`psi_planar::planarity`]) verifies
-//!    planarity and constructs the embedding as step zero, rejecting non-planar
-//!    inputs with a checkable Kuratowski certificate.
 //! 1. [`cover`] — the Parallel Treewidth k-d Cover (Section 2.1): an exponential start
 //!    time clustering followed by per-cluster BFS level windows turns the target into
 //!    `O(n d)` total size worth of bounded-treewidth pieces such that each fixed
@@ -37,9 +33,11 @@
 //!    construction, queries, mutation, and (de)serialisation behind one builder
 //!    and one [`psi::PsiError`] type.
 //! 10. [`snapshot`] — epoch-snapshot concurrent serving: [`snapshot::PsiSnapshot`]
-//!     pins an immutable, `Send + Sync` view of the engine (O(rounds) `Arc`
-//!     bumps) that reader threads query while the writer keeps mutating —
-//!     answers bit-identical to a frozen build of the graph at that epoch.
+//!     pins an immutable, `Send + Sync` view of the engine that reader threads
+//!     query while the writer keeps mutating — answers bit-identical to a
+//!     frozen build of the graph at that epoch. Re-pinning an unchanged engine
+//!     is O(rounds) `Arc` bumps; the first snapshot after a mutation rebuilds
+//!     the CSR and compacts the faces, O(n + m).
 //!
 //! ## Quick start
 //!
@@ -56,7 +54,9 @@
 //! ```
 
 pub mod arena;
-pub mod auto;
+#[cfg(test)]
+#[path = "one_shot_tests.rs"]
+mod auto;
 pub mod connectivity;
 pub mod cover;
 pub mod disconnected;
@@ -70,15 +70,11 @@ pub(crate) mod obs;
 pub mod pattern;
 pub mod psi;
 pub mod separating;
+mod serve;
 pub mod snapshot;
 pub mod state;
 
 pub use arena::{ArenaStats, StateArena, StateId};
-#[allow(deprecated)]
-pub use auto::{
-    build_index_auto, decide_auto, embed_checked, find_one_auto, list_all_auto, planarity_gate,
-    vertex_connectivity_auto,
-};
 pub use connectivity::{
     st_connectivity_capped, vertex_connectivity, vertex_connectivity_with_fv, ConnectivityMode,
     ConnectivityResult,

@@ -15,21 +15,19 @@
 //! # Ok::<(), planar_subiso::PsiError>(())
 //! ```
 //!
-//! Everything the historical free functions did is reachable from here:
+//! The front door covers the whole pipeline:
 //!
 //! * [`PsiBuilder::open`] / [`PsiBuilder::open_text`] / [`PsiBuilder::open_path`]
-//!   replace `build_index_auto` (+ the embedding gate) and return a live,
+//!   gate the target through the LR planarity engine and return a live,
 //!   *mutable* engine;
 //! * [`Psi::decide_in`], [`Psi::find_one_in`], [`Psi::list_all_in`], and
-//!   [`Psi::vertex_connectivity_of`] replace the one-shot `_auto` functions
-//!   (same cheap classic path, no index is built);
-//! * [`Psi::load`] / [`Psi::save`] replace the raw artifact round-trip;
+//!   [`Psi::vertex_connectivity_of`] answer one-shot queries on an arbitrary
+//!   graph (planarity gate, then the classic path; no index is built);
+//! * [`Psi::load`] / [`Psi::save`] wrap the artifact round-trip;
 //! * [`PsiError`] folds `NonPlanarWitness`, [`QueryError`], [`IndexLoadError`],
 //!   [`MutationError`], parse, I/O, and thread-pool failures into one
 //!   `std::error::Error` with `source()` chaining. No entry point panics on
 //!   malformed input.
-//!
-//! The old free functions in [`crate::auto`] remain as thin deprecated shims.
 
 use crate::connectivity::{vertex_connectivity, ConnectivityMode, ConnectivityResult};
 use crate::dynamic::{DynamicPsiIndex, MutationError, UpdateStats};
@@ -259,10 +257,7 @@ impl PsiBuilder {
             dynamic.set_decomp_cache_cap(self.decomp_cache_cap);
             dynamic
         };
-        let dynamic = match &pool {
-            Some(p) => p.install(build),
-            None => build(),
-        };
+        let dynamic = on_pool(&pool, build);
         Ok(Psi { dynamic, pool })
     }
 
@@ -296,11 +291,16 @@ impl PsiBuilder {
             dynamic.set_decomp_cache_cap(self.decomp_cache_cap);
             dynamic
         };
-        let dynamic = match &pool {
-            Some(p) => p.install(thaw),
-            None => thaw(),
-        };
+        let dynamic = on_pool(&pool, thaw);
         Ok(Psi { dynamic, pool })
+    }
+}
+
+/// Runs `f` on the dedicated pool when there is one, else on the caller's.
+fn on_pool<R: Send>(pool: &Option<rayon::ThreadPool>, f: impl FnOnce() -> R + Send) -> R {
+    match pool {
+        Some(p) => p.install(f),
+        None => f(),
     }
 }
 
@@ -349,13 +349,6 @@ impl Psi {
         Psi::builder().load(path)
     }
 
-    fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        match &self.pool {
-            Some(p) => p.install(f),
-            None => f(),
-        }
-    }
-
     /// The engine's parameters (frozen into any saved artifact).
     pub fn params(&self) -> IndexParams {
         self.dynamic.params()
@@ -393,11 +386,7 @@ impl Psi {
     /// [`Psi::freeze`] flush implicitly — call this to pay the rebuild off the
     /// serving path.
     pub fn flush(&mut self) -> usize {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.flush()),
-            None => dynamic.flush(),
-        }
+        on_pool(&self.pool, || self.dynamic.flush())
     }
 
     // --- queries ----------------------------------------------------------
@@ -406,31 +395,17 @@ impl Psi {
     /// the first query after a mutation rebuilds the dirtied cluster batches
     /// (serve a frozen [`crate::IndexedEngine`] for shared read-only access).
     pub fn decide(&mut self, pattern: &Pattern) -> Result<bool, PsiError> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.decide(pattern)),
-            None => dynamic.decide(pattern),
-        }
-        .map_err(PsiError::from)
+        on_pool(&self.pool, || self.dynamic.decide(pattern)).map_err(PsiError::from)
     }
 
     /// Finds one occurrence (deterministic stored-order witness).
     pub fn find_one(&mut self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, PsiError> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.find_one(pattern)),
-            None => dynamic.find_one(pattern),
-        }
-        .map_err(PsiError::from)
+        on_pool(&self.pool, || self.dynamic.find_one(pattern)).map_err(PsiError::from)
     }
 
     /// Decides many patterns on the engine's pool; answers in input order.
     pub fn decide_batch(&mut self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.decide_batch(patterns)),
-            None => dynamic.decide_batch(patterns),
-        }
+        on_pool(&self.pool, || self.dynamic.decide_batch(patterns))
     }
 
     /// Finds occurrences for many patterns on the engine's pool (input order,
@@ -439,11 +414,7 @@ impl Psi {
         &mut self,
         patterns: &[Pattern],
     ) -> Vec<Result<Option<Vec<Vertex>>, QueryError>> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.find_one_batch(patterns)),
-            None => dynamic.find_one_batch(patterns),
-        }
+        on_pool(&self.pool, || self.dynamic.find_one_batch(patterns))
     }
 
     /// Lists all occurrences of `pattern` via the coin-flip listing loop
@@ -451,17 +422,19 @@ impl Psi {
     /// completeness explicitly).
     pub fn list_all(&self, pattern: &Pattern) -> ListingOutcome {
         let target = self.dynamic.target_csr();
-        self.run(|| SubgraphIsomorphism::new(pattern.clone()).list_all_outcome(target))
+        on_pool(&self.pool, || {
+            SubgraphIsomorphism::new(pattern.clone()).list_all_outcome(target)
+        })
     }
 
     /// Capped pairwise s–t vertex connectivity for many pairs, in input order.
     pub fn connectivity_batch(&self, pairs: &[(Vertex, Vertex)]) -> Vec<Result<usize, QueryError>> {
-        self.run(|| self.dynamic.connectivity_batch(pairs))
+        on_pool(&self.pool, || self.dynamic.connectivity_batch(pairs))
     }
 
     /// Global vertex connectivity of the live target (Lemma 5.1).
     pub fn vertex_connectivity(&self, mode: ConnectivityMode, seed: u64) -> ConnectivityResult {
-        self.run(|| self.dynamic.vertex_connectivity(mode, seed))
+        on_pool(&self.pool, || self.dynamic.vertex_connectivity(mode, seed))
     }
 
     // --- mutation ---------------------------------------------------------
@@ -469,37 +442,25 @@ impl Psi {
     /// Inserts edge `{u, v}` incrementally (planarity-gated; see
     /// [`DynamicPsiIndex::insert_edge`]).
     pub fn insert_edge(&mut self, u: Vertex, v: Vertex) -> Result<UpdateStats, PsiError> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.insert_edge(u, v)),
-            None => dynamic.insert_edge(u, v),
-        }
-        .map_err(PsiError::from)
+        on_pool(&self.pool, || self.dynamic.insert_edge(u, v)).map_err(PsiError::from)
     }
 
     /// Deletes edge `{u, v}` incrementally (see [`DynamicPsiIndex::delete_edge`]).
     pub fn delete_edge(&mut self, u: Vertex, v: Vertex) -> Result<UpdateStats, PsiError> {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.delete_edge(u, v)),
-            None => dynamic.delete_edge(u, v),
-        }
-        .map_err(PsiError::from)
+        on_pool(&self.pool, || self.dynamic.delete_edge(u, v)).map_err(PsiError::from)
     }
 
     // --- snapshots --------------------------------------------------------
 
     /// Pins the current state as an immutable, `Send + Sync`
-    /// [`crate::PsiSnapshot`]: `O(rounds)` `Arc` bumps after an implicit flush,
-    /// no graph or batch copies. Reader threads query the snapshot (same
-    /// surface, same answers as a frozen engine of this epoch) while this
-    /// engine keeps mutating and flushing; see [`DynamicPsiIndex::snapshot`].
+    /// [`crate::PsiSnapshot`]: `O(rounds)` `Arc` bumps after an implicit flush
+    /// for an unchanged engine; the first snapshot after a mutation also
+    /// rebuilds the CSR and compacts the faces, `O(n + m)`. Reader threads
+    /// query the snapshot (same surface, same answers as a frozen engine of
+    /// this epoch) while this engine keeps mutating and flushing; see
+    /// [`DynamicPsiIndex::snapshot`].
     pub fn snapshot(&mut self) -> crate::PsiSnapshot {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.snapshot()),
-            None => dynamic.snapshot(),
-        }
+        on_pool(&self.pool, || self.dynamic.snapshot())
     }
 
     /// The engine's current epoch (strictly increases across accepted
@@ -543,11 +504,7 @@ impl Psi {
     /// bit-identical to a from-scratch [`PsiIndex::build`] of the current
     /// target.
     pub fn freeze(&mut self) -> PsiIndex {
-        let dynamic = &mut self.dynamic;
-        match &self.pool {
-            Some(p) => p.install(|| dynamic.freeze()),
-            None => dynamic.freeze(),
-        }
+        on_pool(&self.pool, || self.dynamic.freeze())
     }
 
     /// Freezes and serialises to `path` (sectioned container, see

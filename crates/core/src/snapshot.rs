@@ -9,8 +9,9 @@
 //! * every servable product — the target CSR, the facial walks, the per-round
 //!   batch maps — is held behind an `Arc`, so
 //!   [`DynamicPsiIndex::snapshot`](crate::dynamic::DynamicPsiIndex::snapshot)
-//!   hands out a [`PsiSnapshot`] for `O(rounds)` reference-count bumps with no
-//!   graph or batch copies;
+//!   hands out a [`PsiSnapshot`] with no batch copies: `O(rounds)`
+//!   reference-count bumps for an unchanged engine, plus one `O(n + m)` CSR
+//!   rebuild and face compaction for the first snapshot after a mutation;
 //! * the writer never mutates published data: a flush rebuilds the dirty
 //!   clusters' batches *off to the side* (copy-on-write round maps) and
 //!   publishes each replacement map with a single `Arc` swap, advancing the
@@ -26,18 +27,15 @@
 //! epoch — the invariant [`PsiSnapshot::to_frozen`] exposes and the snapshot
 //! serving suite pins under `PSI_THREADS = {1, 4}`.
 
-use crate::connectivity::{
-    st_connectivity_capped, vertex_connectivity_with_fv, ConnectivityMode, ConnectivityResult,
-};
-use crate::index::{
-    admit_pattern, decide_in_batches, find_in_batches, IndexParams, IndexedBatch, PsiIndex,
-    QueryError, CONNECTIVITY_CAP,
-};
+use crate::connectivity::{ConnectivityMode, ConnectivityResult};
+use crate::index::{IndexParams, IndexedBatch, PsiIndex, QueryError};
 use crate::isomorphism::DpStrategy;
 use crate::pattern::Pattern;
+use crate::serve::{self, Instruments, ServeState};
 use psi_graph::{CsrGraph, Vertex};
+use psi_obs::trace::SpanGuard;
 use psi_planar::{face_vertex_graph, planar_embedding, Embedding, FaceVertexGraph};
-use rayon::prelude::*;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -171,62 +169,22 @@ impl PsiSnapshot {
         &self.state.target
     }
 
-    /// The canonical batch stream of the pinned epoch: rounds in order, each
-    /// round's clusters in ascending centre order — the exact scan order of the
-    /// live engine and the frozen artifact.
-    fn batches(&self) -> impl Iterator<Item = &IndexedBatch> {
-        self.state
-            .rounds
-            .iter()
-            .flat_map(|round| round.values())
-            .flat_map(|batches| batches.iter())
-    }
-
     /// Decides whether `pattern` occurs in the pinned target; same contract as
     /// [`crate::IndexedEngine::decide`].
     pub fn decide(&self, pattern: &Pattern) -> Result<bool, QueryError> {
-        let _span = psi_obs::span!("snapshot.decide", epoch = self.state.epoch, k = pattern.k());
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        if let Some(short) = admit_pattern(&self.state.params, self.num_vertices(), pattern)? {
-            metrics.snapshot_query_ns.record_duration(start.elapsed());
-            return Ok(short.is_some());
-        }
-        let verdict = decide_in_batches(self.state.strategy, pattern, self.batches());
-        metrics.snapshot_query_ns.record_duration(start.elapsed());
-        Ok(verdict)
+        serve::decide(&*self.state, pattern)
     }
 
     /// Finds one occurrence in the pinned target (deterministic stored-order
     /// witness, identical to the frozen engine's).
     pub fn find_one(&self, pattern: &Pattern) -> Result<Option<Vec<Vertex>>, QueryError> {
-        let _span = psi_obs::span!(
-            "snapshot.find_one",
-            epoch = self.state.epoch,
-            k = pattern.k(),
-        );
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        if let Some(short) = admit_pattern(&self.state.params, self.num_vertices(), pattern)? {
-            metrics.snapshot_query_ns.record_duration(start.elapsed());
-            return Ok(short);
-        }
-        let witness = find_in_batches(
-            self.state.strategy,
-            pattern,
-            &self.state.target,
-            self.batches(),
-        );
-        metrics.snapshot_query_ns.record_duration(start.elapsed());
-        Ok(witness)
+        serve::find_one(&*self.state, pattern)
     }
 
     /// [`PsiSnapshot::decide`] over many patterns on the work-stealing pool,
     /// answers in input order.
     pub fn decide_batch(&self, patterns: &[Pattern]) -> Vec<Result<bool, QueryError>> {
-        patterns.par_iter().map(|p| self.decide(p)).collect()
+        serve::decide_batch(&*self.state, patterns)
     }
 
     /// [`PsiSnapshot::find_one`] over many patterns (input order, deterministic
@@ -235,55 +193,20 @@ impl PsiSnapshot {
         &self,
         patterns: &[Pattern],
     ) -> Vec<Result<Option<Vec<Vertex>>, QueryError>> {
-        patterns.par_iter().map(|p| self.find_one(p)).collect()
+        serve::find_one_batch(&*self.state, patterns)
     }
 
     /// Capped pairwise s–t vertex connectivity against the pinned target, in
-    /// input order (the planar cap of [`CONNECTIVITY_CAP`] applies).
+    /// input order (the planar cap of [`crate::CONNECTIVITY_CAP`] applies).
     pub fn connectivity_batch(&self, pairs: &[(Vertex, Vertex)]) -> Vec<Result<usize, QueryError>> {
-        let n = self.num_vertices();
-        pairs
-            .par_iter()
-            .map(|&(s, t)| {
-                for x in [s, t] {
-                    if x as usize >= n {
-                        return Err(QueryError::VertexOutOfRange { vertex: x, n });
-                    }
-                }
-                if s == t {
-                    return Err(QueryError::IdenticalEndpoints { vertex: s });
-                }
-                Ok(st_connectivity_capped(
-                    &self.state.target,
-                    s,
-                    t,
-                    CONNECTIVITY_CAP,
-                ))
-            })
-            .collect()
+        serve::connectivity_batch(&*self.state, pairs)
     }
 
     /// Global vertex connectivity of the pinned target (Lemma 5.1). The
     /// face–vertex graph is derived once per epoch, on the first call, and
     /// shared across snapshot clones.
     pub fn vertex_connectivity(&self, mode: ConnectivityMode, seed: u64) -> ConnectivityResult {
-        let _span = psi_obs::span!(
-            "snapshot.vertex_connectivity",
-            epoch = self.state.epoch,
-            n = self.num_vertices(),
-        );
-        let metrics = crate::obs::metrics();
-        metrics.queries_total.add(1);
-        let start = std::time::Instant::now();
-        let fv = self.state.fv.get_or_init(|| {
-            Arc::new(face_vertex_graph(&Embedding::new(
-                (*self.state.target).clone(),
-                (*self.state.faces).clone(),
-            )))
-        });
-        let result = vertex_connectivity_with_fv(&self.state.target, fv, mode, seed);
-        metrics.snapshot_query_ns.record_duration(start.elapsed());
-        result
+        serve::vertex_connectivity(&*self.state, mode, seed)
     }
 
     /// Materialises the pinned epoch as a frozen [`PsiIndex`] — bit-identical
@@ -306,5 +229,45 @@ impl PsiSnapshot {
             })
             .collect();
         PsiIndex::from_parts(self.state.params, &embedding, rounds)
+    }
+}
+
+impl ServeState for EpochState {
+    const INSTRUMENTS: Instruments = serve::SNAPSHOT;
+
+    fn params(&self) -> &IndexParams {
+        &self.params
+    }
+
+    fn strategy(&self) -> DpStrategy {
+        self.strategy
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.target.num_vertices()
+    }
+
+    fn target(&self) -> &CsrGraph {
+        &self.target
+    }
+
+    fn batches(&self) -> impl Iterator<Item = &IndexedBatch> {
+        self.rounds
+            .iter()
+            .flat_map(|round| round.values())
+            .flat_map(|batches| batches.iter())
+    }
+
+    fn face_vertex_graph(&self) -> Cow<'_, FaceVertexGraph> {
+        Cow::Borrowed(self.fv.get_or_init(|| {
+            Arc::new(face_vertex_graph(&Embedding::new(
+                (*self.target).clone(),
+                (*self.faces).clone(),
+            )))
+        }))
+    }
+
+    fn tag_span(&self, span: &mut SpanGuard) {
+        span.field("epoch", self.epoch);
     }
 }

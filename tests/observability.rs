@@ -18,8 +18,8 @@
 //! * counter hygiene — stat merges are associative, commutative, and saturate
 //!   instead of wrapping;
 //! * the decomposition-cache knob — `PsiBuilder::decomp_cache_cap` bounds the
-//!   flush-side cache, evictions are counted, and the deprecated tuple shim
-//!   agrees with the new metrics accessor.
+//!   flush-side cache, evictions are counted, and re-reading the metrics
+//!   accessor answers the same counters.
 
 use planar_subiso::{
     map_cover_batches, ArenaStats, ConnectivityMode, CoverStats, DynamicPsiIndex, IndexParams,
@@ -473,10 +473,9 @@ fn decomp_cache_cap_bounds_cache_and_counts_evictions() {
     assert!(m.misses > 0, "flushes must populate the cache: {m:?}");
     assert!(m.evictions > 0, "a cap of 2 must evict under churn: {m:?}");
 
-    // The deprecated tuple shim still answers, and agrees with the new view.
-    #[allow(deprecated)]
-    let (hits, misses) = dynamic.decomp_cache_stats();
-    assert_eq!((hits, misses), (m.hits, m.misses));
+    // Reading the counters again answers the same hits and misses.
+    let again = dynamic.decomp_cache_metrics();
+    assert_eq!((again.hits, again.misses), (m.hits, m.misses));
 
     // Cap 0 disables caching entirely (and trims immediately on set).
     dynamic.set_decomp_cache_cap(0);
